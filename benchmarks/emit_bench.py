@@ -1,29 +1,42 @@
-"""T-FLEET runner: measure merge throughput and write BENCH_fleet.json.
+"""The perf-trajectory runner: measure one suite, write its BENCH_*.json.
 
-The first entry in the repo's perf trajectory.  For fleets of 10/100/
-1000 synthetic gmon files (one shared histogram layout, randomized
-counts and arcs) it times three ways of producing ``gmon.sum``:
+Eight suites, one per subsystem, each both a measurement and a
+byte-identity gate (``--suite``, default ``fleet``):
 
-* ``legacy`` — the old pairwise fold:
-  ``reduce(lambda a, b: merge_profiles([a, b]), map(read_gmon, paths))``
-  (parse every file into objects, re-merge and re-condense at every
-  step);
-* ``driver`` — the :mod:`repro.fleet` tree-reduction driver with its
-  default worker count (in-process streaming accumulator on small
-  machines);
-* ``parallel`` — the same driver forced onto 2 worker processes.
+=========  ===============  ===========================================
+suite      report           exits 2 when
+=========  ===============  ===========================================
+fleet      T-FLEET          the parallel ``tree_reduce`` sum differs
+                            from the sequential pairwise fold
+vm         T-VM             the fast engine's gmon differs from the
+                            reference engine's
+pipeline   T-PIPE           a cached analysis renders a different
+                            listing than the uncached pipeline
+check      T-FLOW           a flow report or predicted profile differs
+                            across runs or on cache replay
+serve      T-SERVE          the recovered merged profile differs from
+                            the offline merge of the uploads
+smp        T-SMP            the merged SMP profile depends on the CPU
+                            count, schedule or sharding
+kernels    T-KERN           a kernel backend disagrees with the python
+                            reference
+pgo        T-PGO            a PGO'd program diverges, its assembly is
+                            not deterministic, or fewer than 3 programs
+                            got faster
+=========  ===============  ===========================================
 
-All three must produce **byte-identical** ``gmon.sum`` output; the
-runner exits with status 2 if they do not (the CI ``bench-smoke`` job
-leans on this).  Results go to ``BENCH_fleet.json`` as
-profiles-per-second so future PRs can extend the trajectory.
+The fleet suite lives here: for fleets of 10/100/1000 synthetic gmon
+files it times the legacy pairwise fold, the :mod:`repro.fleet`
+tree-reduction driver at its default worker count, and the same driver
+forced onto 2 workers.  The other suites live in
+``benchmarks/bench_<suite>.py`` and are imported only when selected.
 
 Usage::
 
-    python -m benchmarks.emit_bench [--quick] [--out BENCH_fleet.json]
+    python -m benchmarks.emit_bench [--suite NAME] [--quick] [--out FILE]
 
-``--quick`` shrinks the fleets (10/50 files, smaller histograms) for
-CI smoke runs; the committed BENCH_fleet.json comes from a full run.
+``--quick`` shrinks every corpus for CI smoke runs; the committed
+``BENCH_*.json`` files come from full runs.
 """
 
 from __future__ import annotations

@@ -32,22 +32,7 @@ Quickstart::
     print(format_graph_profile(profile))
 """
 
-from repro.core import (
-    AnalysisOptions,
-    Arc,
-    CallGraph,
-    Histogram,
-    Profile,
-    ProfileData,
-    RawArc,
-    Symbol,
-    SymbolTable,
-    analyze,
-    merge_profiles,
-)
-from repro.gmon import read_gmon, salvage_gmon, write_gmon
-from repro.report import format_flat_profile, format_graph_profile
-from repro.resilience import FaultInjector, InjectedFault, SalvageReport
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -73,3 +58,14 @@ __all__ = [
     "write_gmon",
     "__version__",
 ]
+
+lazy_exports(__name__, {
+    "repro.core": (
+        "AnalysisOptions", "Arc", "CallGraph", "Histogram", "Profile",
+        "ProfileData", "RawArc", "Symbol", "SymbolTable", "analyze",
+        "merge_profiles",
+    ),
+    "repro.gmon": ("read_gmon", "salvage_gmon", "write_gmon"),
+    "repro.report": ("format_flat_profile", "format_graph_profile"),
+    "repro.resilience": ("FaultInjector", "InjectedFault", "SalvageReport"),
+})

@@ -46,7 +46,6 @@ from repro.machine import (
     make_cpu,
 )
 from repro.machine.programs import PROGRAMS
-from repro.report.annotate import format_annotated_disassembly
 
 
 def _load_program(
@@ -188,6 +187,8 @@ def cmd_run_smp(opts, exe: Executable) -> int:
             f"merged from {len(machine.shards)} shard(s) -> {opts.gmon}"
         )
         if opts.annotate:
+            from repro.report.annotate import format_annotated_disassembly
+
             print()
             print(format_annotated_disassembly(exe, data.histogram))
     return 0
@@ -247,6 +248,8 @@ def cmd_run(opts) -> int:
             f"-> {opts.gmon}{checkpoints}"
         )
         if opts.annotate:
+            from repro.report.annotate import format_annotated_disassembly
+
             print()
             print(format_annotated_disassembly(exe, data.histogram))
     if opts.count:

@@ -14,32 +14,7 @@ Public surface:
 * :func:`~repro.core.analysis.analyze`, :class:`~repro.core.analysis.Profile`
 """
 
-from repro.core.analysis import (
-    AnalysisOptions,
-    FlatEntry,
-    GraphEntry,
-    Profile,
-    RelativeLine,
-    analyze,
-)
-from repro.core.arcs import Arc, ArcSet, RawArc, symbolize_arcs
-from repro.core.callgraph import CallGraph
-from repro.core.compare import ProfileDelta, compare_profiles, format_delta
-from repro.core.coverage import CoverageReport, coverage, format_coverage
-from repro.core.export import profile_to_dict, save_profile_json
-from repro.core.regress import Baseline, Rule, Violation, check as check_baseline
-from repro.core.cycles import (
-    Cycle,
-    NumberedGraph,
-    number_graph,
-    paper_numbering,
-    strongly_connected_components,
-    verify_topological,
-)
-from repro.core.histogram import DEFAULT_PROFRATE, Histogram, sum_histograms
-from repro.core.profiledata import ProfileData, merge_profiles
-from repro.core.propagate import ArcShare, Propagation, propagate
-from repro.core.symbols import SPONTANEOUS, Symbol, SymbolTable
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AnalysisOptions",
@@ -83,3 +58,24 @@ __all__ = [
     "symbolize_arcs",
     "verify_topological",
 ]
+
+lazy_exports(__name__, {
+    ".analysis": (
+        "AnalysisOptions", "FlatEntry", "GraphEntry", "Profile",
+        "RelativeLine", "analyze",
+    ),
+    ".arcs": ("Arc", "ArcSet", "RawArc", "symbolize_arcs"),
+    ".callgraph": ("CallGraph",),
+    ".compare": ("ProfileDelta", "compare_profiles", "format_delta"),
+    ".coverage": ("CoverageReport", "coverage", "format_coverage"),
+    ".export": ("profile_to_dict", "save_profile_json"),
+    ".regress": ("Baseline", "Rule", "Violation", "check_baseline"),
+    ".cycles": (
+        "Cycle", "NumberedGraph", "number_graph", "paper_numbering",
+        "strongly_connected_components", "verify_topological",
+    ),
+    ".histogram": ("DEFAULT_PROFRATE", "Histogram", "sum_histograms"),
+    ".profiledata": ("ProfileData", "merge_profiles"),
+    ".propagate": ("ArcShare", "Propagation", "propagate"),
+    ".symbols": ("SPONTANEOUS", "Symbol", "SymbolTable"),
+})

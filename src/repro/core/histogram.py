@@ -186,8 +186,9 @@ class Histogram:
         so it is precomputed as a
         :class:`~repro.core.kernels.spans.SymbolSpans` (memoized per
         symbol table; pass ``spans`` to supply one from elsewhere, e.g.
-        the pipeline's analysis cache) and evaluated by the selected
-        kernel backend.  Every backend returns bit-identical times —
+        the pipeline's analysis cache) and evaluated by the kernel
+        backend :func:`~repro.core.kernels.get_backend` picks for this
+        many buckets.  Every backend returns bit-identical times —
         see :mod:`repro.core.kernels.spans` for the argument.
         """
         from repro.core import kernels
@@ -198,9 +199,9 @@ class Histogram:
             spans = kernels.spans_for(
                 symbols, self.low_pc, self.high_pc, len(self.counts)
             )
-        return kernels.get_backend().apportion(
-            spans, self.counts, self.seconds_per_tick
-        )
+        return kernels.get_backend(
+            kernel="apportion", size=len(self.counts)
+        ).apportion(spans, self.counts, self.seconds_per_tick)
 
     def assign_samples(self, symbols: SymbolTable) -> dict[str, float]:
         """Historical name for :meth:`time_for_symbols`."""
@@ -230,7 +231,8 @@ def sum_histograms(histograms: Sequence[Histogram]) -> Histogram:
             )
     from repro.core import kernels
 
-    acc = kernels.get_backend().bucket_acc()
+    kernel = kernels.get_backend(kernel="fold", size=first.num_buckets)
+    acc = kernel.bucket_acc()
     for h in histograms:
         acc.fold_seq(h.counts)
     return Histogram(first.low_pc, first.high_pc, acc.to_list(), first.profrate)

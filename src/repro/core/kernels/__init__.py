@@ -29,14 +29,23 @@ and the T-KERN byte-identity benchmark (exit 2 on divergence).
 
 Selection: ``REPRO_KERNELS`` environment variable (``auto`` /
 ``python`` / ``array`` / ``numpy``), overridden per-process by
-:func:`set_default_backend` (the CLIs' ``--kernels`` flag).  ``auto``
-prefers numpy when present, else ``array``; the ``python`` backend is
-never auto-selected — it is the spec, not the fast path.
+:func:`set_default_backend` (the CLIs' ``--kernels`` flag).  An
+explicit name selects that backend for every kernel call.  ``auto``
+chooses per call, from the vector length the caller already holds: the
+bucket count for a fold, ``len(counts)`` for apportionment, the plan's
+arc count for propagation.  At or above the kernel's measured
+:data:`CROSSOVERS` length it uses numpy; below it, and whenever numpy
+is missing or fails to import, it uses ``array``.  numpy is imported
+on the first call that resolves to it, so a small profile never pays
+for the import.  The ``python`` backend is never auto-selected — it is
+the spec, not the fast path.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,12 +61,9 @@ from repro.core.kernels.spans import SymbolSpans, build_spans, spans_for
 
 ENV_VAR = "REPRO_KERNELS"
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    import numpy as _np  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    HAVE_NUMPY = False
+#: Whether numpy is installed.  It is imported only when a kernel call
+#: first resolves to it (see :func:`get_backend`).
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ _REGISTRY: dict[str, Backend] = {
         _spans.apportion_array,
     ),
 }
-if HAVE_NUMPY:
+if HAVE_NUMPY:  # registered now, imported on first use
     _REGISTRY["numpy"] = Backend(
         "numpy",
         _buckets.NumpyBucketAccumulator,
@@ -103,6 +109,19 @@ if HAVE_NUMPY:
         _spans.apportion_numpy,
         vector_propagate=True,
     )
+
+#: ``auto``'s per-kernel crossovers: the vector length from which one
+#: numpy call is at least as fast as one ``array`` call, warm, in every
+#: run of ``python -m benchmarks.kernel_crossover``.  Propagation sits
+#: within 5% of parity from 512 to 2048 arcs, so its crossover is the
+#: first length where numpy led in every run.  None means numpy never
+#: wins: its apportion runs at about half the speed of ``array`` at
+#: every length.
+CROSSOVERS: dict[str, int | None] = {
+    "fold": 512,
+    "apportion": None,
+    "propagate": 4096,
+}
 
 #: Process-wide override installed by ``--kernels`` (None = follow env).
 _forced: str | None = None
@@ -113,9 +132,24 @@ def available_backends() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def _resolve(name: str) -> Backend:
+def _numpy_ready() -> bool:
+    """Import numpy on first use; a broken install drops the backend."""
+    if "numpy" in _REGISTRY and sys.modules.get("numpy") is None:
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            _REGISTRY.pop("numpy", None)
+    return "numpy" in _REGISTRY
+
+
+def _resolve(name: str, kernel: str | None, size: int) -> Backend:
     if name in ("", "auto"):
-        return _REGISTRY["numpy" if HAVE_NUMPY else "array"]
+        crossover = CROSSOVERS.get(kernel)
+        if crossover is not None and size >= crossover and _numpy_ready():
+            return _REGISTRY["numpy"]
+        return _REGISTRY["array"]
+    if name == "numpy":
+        _numpy_ready()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -125,23 +159,31 @@ def _resolve(name: str) -> Backend:
         ) from None
 
 
-def get_backend(name: str | None = None) -> Backend:
-    """The kernel backend to use.
+def get_backend(
+    name: str | None = None, kernel: str | None = None, size: int = 0
+) -> Backend:
+    """The kernel backend to serve one call.
 
     Explicit ``name`` wins; then the :func:`set_default_backend`
     override; then the ``REPRO_KERNELS`` environment variable; then
-    auto-detection (numpy if importable, else ``array``).
+    ``auto``, which picks numpy when ``size`` (the call's vector
+    length) reaches the crossover of ``kernel`` (a :data:`CROSSOVERS`
+    key) and ``array`` otherwise.
     """
-    if name is not None:
-        return _resolve(name.strip().lower())
-    if _forced is not None:
-        return _resolve(_forced)
-    return _resolve(os.environ.get(ENV_VAR, "auto").strip().lower())
+    if name is None:
+        name = default_backend_name()
+    return _resolve(name.strip().lower(), kernel, size)
 
 
 def default_backend_name() -> str:
-    """Name of the backend :func:`get_backend` would pick right now."""
-    return get_backend().name
+    """The configured selection: ``auto`` or one backend's name.
+
+    Under ``auto`` the backend is chosen per call; the one that served
+    a call is the ``name`` of the :class:`Backend` that call got.
+    """
+    if _forced is not None:
+        return _forced
+    return os.environ.get(ENV_VAR, "auto").strip().lower() or "auto"
 
 
 def set_default_backend(name: str | None) -> None:
@@ -153,12 +195,13 @@ def set_default_backend(name: str | None) -> None:
     """
     global _forced
     if name is not None:
-        _resolve(name.strip().lower())  # validate eagerly
         name = name.strip().lower()
+        _resolve(name, None, 0)  # validate eagerly
     _forced = name
 
 
 __all__ = [
+    "CROSSOVERS",
     "ENV_VAR",
     "HAVE_NUMPY",
     "ArcTable",

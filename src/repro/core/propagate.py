@@ -98,6 +98,18 @@ class Propagation:
         return 100.0 * self.total_time[rep] / self.total_program_time
 
 
+def propagate_backend(numbered: NumberedGraph):
+    """The kernel backend that solves ``numbered`` by default.
+
+    Under ``auto`` it follows the arc count of the graph's
+    :class:`~repro.core.kernels.prop.PropPlan`.
+    """
+    from repro.core import kernels
+
+    plan = _kernels_prop.plan_for(numbered)
+    return kernels.get_backend(kernel="propagate", size=len(plan.arc_count))
+
+
 def propagate(
     numbered: NumberedGraph,
     self_times: Mapping[str, float],
@@ -122,15 +134,14 @@ def propagate(
     :class:`~repro.core.kernels.prop.PropPlan` (memoized on
     ``numbered``, so repeated solves against the same graph — PGO
     iterations, same-layout fleets — skip it) and the recurrence is
-    solved by the selected kernel backend: a flat scalar pass for the
-    stdlib backends, batched column arithmetic for numpy.  Backends
-    produce bit-identical results (see :mod:`repro.core.kernels.prop`).
+    solved by the kernel backend :func:`propagate_backend` picks: a flat
+    scalar pass for the stdlib backends, batched column arithmetic for
+    numpy.  Backends produce bit-identical results (see
+    :mod:`repro.core.kernels.prop`).
     """
-    from repro.core import kernels
-
     plan = _kernels_prop.plan_for(numbered)
     sol = _kernels_prop.solve(
-        plan, self_times, kernels.get_backend().vector_propagate
+        plan, self_times, propagate_backend(numbered).vector_propagate
     )
 
     result = Propagation(numbered)

@@ -233,6 +233,10 @@ def check(profile: Profile, baseline: Baseline) -> list[Violation]:
     return violations
 
 
+#: The name :mod:`repro.core` exports :func:`check` under.
+check_baseline = check
+
+
 def format_violations(violations: list[Violation]) -> str:
     """A CI-log-friendly rendering of the gate's result."""
     if not violations:

@@ -85,19 +85,27 @@ class ProfileAccumulator:
 
     def __init__(self, backend: str | None = None, *,
                  timed: bool = False) -> None:
-        self._kernel = kernels.get_backend(backend)
+        self._backend = backend
+        self._use(kernels.get_backend(backend))
         self.key: HeaderKey | None = None
         self.runs = 0
         self.profiles_added = 0
-        self._buckets = self._kernel.bucket_acc()
-        self._arcs = self._kernel.arc_table()
         self._comments: list[str] = []
         self._warnings: list[str] = []
         self.timings: dict | None = _new_timings() if timed else None
 
+    def _use(self, kernel: kernels.Backend) -> None:
+        self._kernel = kernel
+        self._buckets = kernel.bucket_acc()
+        self._arcs = kernel.arc_table()
+
     @property
     def backend_name(self) -> str:
-        """Name of the kernel backend serving this accumulator."""
+        """Name of the kernel backend serving this accumulator.
+
+        Under ``auto`` the fold backend follows the layout's bucket
+        count, so it is settled by the first input.
+        """
         return self._kernel.name
 
     # -- feeding ---------------------------------------------------------------
@@ -213,10 +221,7 @@ class ProfileAccumulator:
         """
         if other.key is None:
             return self
-        if self.key is not None:
-            self._accept_key(other.key, None)
-        else:
-            self.key = other.key
+        self._accept_key(other.key, None)
         self._buckets.fold(other._buckets)
         self._arcs.fold(other._arcs)
         self.runs += other.runs
@@ -231,6 +236,10 @@ class ProfileAccumulator:
     def _accept_key(self, key: HeaderKey, source: str | None) -> None:
         if self.key is None:
             self.key = key
+            kernel = kernels.get_backend(
+                self._backend, kernel="fold", size=key.nbuckets
+            )
+            self._use(kernel)
         elif self.key != key:
             raise MergeError(
                 f"histogram layout {key.describe()} is incompatible with "

@@ -31,9 +31,10 @@ import os
 from pathlib import Path
 from typing import Sequence
 
+from repro.core import kernels
 from repro.core.profiledata import ProfileData
 from repro.errors import GmonFormatError, MergeError
-from repro.gmon.format import salvage_gmon_bytes
+from repro.gmon.format import peek_gmon_header, salvage_gmon_bytes
 
 from repro.fleet.accumulator import ProfileAccumulator
 from repro.fleet.headers import HeaderCache, HeaderKey
@@ -177,12 +178,14 @@ def precheck_headers(
     return keep, warnings
 
 
-def _merge_chunk(args: tuple[list[str], bool, bool]) -> ProfileAccumulator:
+def _merge_chunk(
+    args: tuple[list[str], bool, bool, str | None]
+) -> ProfileAccumulator:
     """Worker body: stream one chunk of paths into a fresh accumulator."""
-    paths, salvage, timed = args
+    paths, salvage, timed, backend = args
     if _chunk_fault_hook is not None:
         _chunk_fault_hook(paths)
-    acc = ProfileAccumulator(timed=timed)
+    acc = ProfileAccumulator(backend, timed=timed)
     for path in paths:
         if salvage:
             with open(path, "rb") as f:
@@ -191,6 +194,20 @@ def _merge_chunk(args: tuple[list[str], bool, bool]) -> ProfileAccumulator:
         else:
             acc.add(path)
     return acc
+
+
+def _fold_backend(path: str) -> str | None:
+    """The kernel backend that folds inputs laid out like ``path``.
+
+    Resolving it imports numpy when the bucket count calls for it.
+    None when the header is unreadable (salvage mode): each worker then
+    settles the backend from its own first input.
+    """
+    try:
+        nbuckets = peek_gmon_header(path).nbuckets
+    except (GmonFormatError, OSError):
+        return None
+    return kernels.get_backend(kernel="fold", size=nbuckets).name
 
 
 def _chunked(paths: list[str], nchunks: int) -> list[list[str]]:
@@ -263,9 +280,14 @@ def tree_reduce(
     timed = stats_out is not None
     fallback_warnings: list[str] = []
     if jobs <= 1:
-        acc = _merge_chunk((paths, salvage, timed))
+        acc = _merge_chunk((paths, salvage, timed, None))
     else:
         import multiprocessing
+
+        # Settle the fold backend before the pool forks, so every
+        # worker inherits numpy when the layout calls for it instead of
+        # importing it on its own.
+        backend = _fold_backend(paths[0])
 
         if worker_timeout is None:
             worker_timeout = DEFAULT_WORKER_TIMEOUT
@@ -277,7 +299,9 @@ def tree_reduce(
         failed: list[int] = []
         with multiprocessing.Pool(jobs) as pool:
             pending = [
-                pool.apply_async(_merge_chunk, ((c, salvage, timed),))
+                pool.apply_async(
+                    _merge_chunk, ((c, salvage, timed, backend),)
+                )
                 for c in chunks
             ]
             for i, res in enumerate(pending):
@@ -296,8 +320,8 @@ def tree_reduce(
                 f"{worker_timeout:g}s (crashed or hung); chunk re-merged "
                 "sequentially in-process"
             )
-            partials[i] = _merge_chunk((chunks[i], salvage, timed))
-        acc = ProfileAccumulator(timed=timed)
+            partials[i] = _merge_chunk((chunks[i], salvage, timed, backend))
+        acc = ProfileAccumulator(backend, timed=timed)
         for partial in partials:  # chunk order == input order: deterministic
             acc.merge_from(partial)
     data = acc.result()

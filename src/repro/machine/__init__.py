@@ -9,24 +9,13 @@ High-level helpers:
 
 from __future__ import annotations
 
-from repro.core.profiledata import ProfileData
-from repro.machine.assembler import assemble
-from repro.machine.blockcounts import BlockCount, block_counts, format_block_counts
-from repro.machine.cpu import CPU, Frame, InterruptSource
-from repro.machine.crawl import static_arcs, static_call_graph
-from repro.machine.executable import Executable, Function
-from repro.machine.fastcpu import ENGINES, FastCPU, make_cpu, predecode
-from repro.machine.isa import INSTRUCTION_SIZE, Instruction, Op
-from repro.machine.mcount import ArcBuffer, ArcTable, ArcTableStats
-from repro.machine.monitor import Monitor, MonitorConfig
-from repro.machine.smp import (
-    CPUShard,
-    GlobalLockMonitor,
-    SMPMachine,
-    ShardedMonitor,
-    SliceScheduler,
-    reduce_shards,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.profiledata import ProfileData
+    from repro.machine.cpu import CPU
 
 __all__ = [
     "ArcBuffer",
@@ -62,6 +51,22 @@ __all__ = [
     "static_call_graph",
 ]
 
+lazy_exports(__name__, {
+    ".assembler": ("assemble",),
+    ".blockcounts": ("BlockCount", "block_counts", "format_block_counts"),
+    ".cpu": ("CPU", "Frame", "InterruptSource"),
+    ".crawl": ("static_arcs", "static_call_graph"),
+    ".executable": ("Executable", "Function"),
+    ".fastcpu": ("ENGINES", "FastCPU", "make_cpu", "predecode"),
+    ".isa": ("INSTRUCTION_SIZE", "Instruction", "Op"),
+    ".mcount": ("ArcBuffer", "ArcTable", "ArcTableStats"),
+    ".monitor": ("Monitor", "MonitorConfig"),
+    ".smp": (
+        "CPUShard", "GlobalLockMonitor", "SMPMachine", "ShardedMonitor",
+        "SliceScheduler", "reduce_shards",
+    ),
+})
+
 
 def run_profiled(
     source: str,
@@ -81,6 +86,10 @@ def run_profiled(
     default) or the ``"reference"`` baseline — both produce identical
     profiles.
     """
+    from repro.machine.assembler import assemble
+    from repro.machine.fastcpu import make_cpu
+    from repro.machine.monitor import Monitor, MonitorConfig
+
     exe = assemble(source, name=name, profile=True)
     monitor = Monitor(
         MonitorConfig(
@@ -104,6 +113,9 @@ def run_unprofiled(
 ) -> CPU:
     """Assemble ``source`` without profiling and run it (the control
     case for overhead measurements)."""
+    from repro.machine.assembler import assemble
+    from repro.machine.fastcpu import make_cpu
+
     exe = assemble(source, name=name, profile=False)
     cpu = make_cpu(exe, engine=engine)
     cpu.run(max_instructions=max_instructions)

@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core import kernels
 from repro.pipeline.cache import (
     AnalysisCache,
     combine,
@@ -169,23 +168,22 @@ def compute_keys(state: PipelineState) -> dict[str, str]:
 
 def _run_stage(
     stage: Stage, state: PipelineState, trace: PipelineTrace | None
-) -> tuple[str, dict[str, int]]:
-    """Run one stage, timed and counted; return its journal record."""
+) -> tuple[str, dict[str, int], str]:
+    """Run one stage, timed and counted; return its journal record:
+    name, counters and the kernel backend that served it ("" if none).
+    """
     counters: dict[str, int] = {}
+    start = time.perf_counter()
+    stage.run(state, counters)
+    backend = state.backends.get(stage.name, "")
     if trace is not None:
-        start = time.perf_counter()
-        stage.run(state, counters)
         trace.add(
             StageTrace(
                 stage.name, time.perf_counter() - start, counters,
-                backend=(
-                    kernels.default_backend_name() if stage.kernel else ""
-                ),
+                backend=backend,
             )
         )
-    else:
-        stage.run(state, counters)
-    return stage.name, counters
+    return stage.name, counters, backend
 
 
 def run_analysis(
@@ -212,7 +210,6 @@ def run_analysis(
     state = PipelineState(data, symbols, options, warnings=list(data.warnings))
     keys = compute_keys(state) if cache is not None else None
     stage_by_name = {s.name: s for s in STAGES}
-    backend = kernels.default_backend_name()
     if cache is not None:
         # Seed the geometry spans if a same-layout analysis already
         # built them.  This is a sub-stage memo, not a cache group: a
@@ -231,15 +228,11 @@ def run_analysis(
                 state.warnings.extend(warnings)
                 if trace is not None:
                     trace.cache_hits += 1
-                    for name, counters in journal:
+                    for name, counters, backend in journal:
                         trace.add(
                             StageTrace(
                                 name, 0.0, dict(counters), cached=True,
-                                backend=(
-                                    backend
-                                    if stage_by_name[name].kernel
-                                    else ""
-                                ),
+                                backend=backend,
                             )
                         )
                 continue

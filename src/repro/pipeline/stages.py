@@ -35,7 +35,7 @@ from repro.core.arcs import ArcSet, symbolize_arcs
 from repro.core.arcremoval import break_cycles_heuristic, remove_arcs
 from repro.core.callgraph import CallGraph
 from repro.core.cycles import number_graph
-from repro.core.propagate import propagate
+from repro.core.propagate import propagate, propagate_backend
 from repro.core.staticgraph import augment_with_static_arcs
 
 
@@ -65,6 +65,9 @@ class PipelineState:
     numbered: Any = None
     prop: Any = None
     profile: Any = None
+    #: The repro.core.kernels backend that served each kernel stage,
+    #: by stage name (surfaced per-stage in the pipeline trace).
+    backends: dict[str, str] = field(default_factory=dict)
 
     @property
     def excluded(self) -> set[str]:
@@ -85,9 +88,6 @@ class Stage:
     requires: tuple[str, ...] = ()
     #: State fields this stage writes.
     provides: tuple[str, ...] = ()
-    #: Whether the stage's arithmetic is served by a repro.core.kernels
-    #: backend (surfaced per-stage in the pipeline trace).
-    kernel: bool = False
 
     def run(self, state: PipelineState, counters: dict[str, int]) -> None:
         raise NotImplementedError  # pragma: no cover - interface
@@ -172,12 +172,12 @@ class ApportionStage(Stage):
     layout and symbol table; when the runner found them in the
     analysis cache they ride in on ``state.spans`` and the stage skips
     the geometry walk entirely, evaluating the cached spans against
-    this input's counts with the selected kernel backend.
+    this input's counts with the kernel backend chosen for its bucket
+    count.
     """
 
     name = "apportion"
     provides = ("spans", "self_times")
-    kernel = True
 
     def run(self, state: PipelineState, counters: dict[str, int]) -> None:
         from repro.core import kernels
@@ -187,6 +187,9 @@ class ApportionStage(Stage):
             state.spans = kernels.spans_for(
                 state.symbols, hist.low_pc, hist.high_pc, hist.num_buckets
             )
+        state.backends[self.name] = kernels.get_backend(
+            kernel="apportion", size=len(hist.counts)
+        ).name
         excluded = state.excluded
         state.self_times = {
             name: secs
@@ -299,9 +302,9 @@ class PropagateStage(Stage):
     name = "propagate"
     requires = ("numbered", "self_times")
     provides = ("prop",)
-    kernel = True
 
     def run(self, state: PipelineState, counters: dict[str, int]) -> None:
+        state.backends[self.name] = propagate_backend(state.numbered).name
         state.prop = propagate(state.numbered, state.self_times)
         counters["arc_shares"] = len(state.prop.arc_shares)
 

@@ -55,7 +55,9 @@ class TestGprofCli:
         summed = read_gmon(out_path)
         assert summed.runs == 2
 
-    def test_timings_show_kernel_backend(self, netcycle_files, capsys):
+    def test_timings_show_kernel_backend(
+        self, netcycle_files, capsys, monkeypatch, tmp_path
+    ):
         image, gmons = netcycle_files
         assert gprof_main(
             [str(image), str(gmons[0]), "--timings", "--kernels", "python"]
@@ -67,6 +69,20 @@ class TestGprofCli:
         for line in err.splitlines():
             if line.strip().startswith(("apportion", "propagate")):
                 assert "[python]" in line
+        # under auto the tag names the backend that served each call:
+        # a canned program is below every crossover, so that is array
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        trace = tmp_path / "trace.json"
+        assert gprof_main(
+            [str(image), str(gmons[0]), "--timings", "--trace", str(trace)]
+        ) == 0
+        err = capsys.readouterr().err
+        assert err.count("[array]") == 2
+        assert "[auto]" not in err and "[numpy]" not in err
+        stages = json.loads(trace.read_text())["stages"]
+        assert {s["name"]: s.get("backend") for s in stages
+                if "backend" in s} == {"apportion": "array",
+                                       "propagate": "array"}
 
     def test_kernels_flag_rejects_unknown_backend(self, netcycle_files, capsys):
         image, gmons = netcycle_files

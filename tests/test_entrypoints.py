@@ -55,3 +55,73 @@ def test_module_main_returns_exit_status(module):
 
     mod = importlib.import_module(module)
     assert callable(mod.main)
+
+
+# -- import hygiene: a small run loads only what it uses ---------------------
+
+
+def _run_checked(code: str, cwd: Path) -> str:
+    """Run ``code`` in a fresh interpreter under ``auto`` kernel selection."""
+    env = _env_with_src()
+    env.pop("REPRO_KERNELS", None)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_repro_loads_neither_numpy_nor_analysis(tmp_path):
+    out = _run_checked(
+        "import sys, repro\n"
+        "heavy = ('numpy', 'repro.core.analysis', 'repro.machine')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "import repro.core, repro.machine\n"
+        "print(sorted(m for m in heavy[:2] if m in sys.modules))",
+        tmp_path,
+    )
+    assert out.split() == ["[]", "[]"]
+
+
+def test_profile_journey_never_imports_numpy(tmp_path):
+    """``repro-vm run --profile`` then ``repro-gprof`` on the canned
+    program with the most buckets: every kernel call is below its
+    crossover, so no process of the journey imports numpy."""
+    from repro.machine.programs import PROGRAMS
+
+    (tmp_path / "prog.s").write_text(PROGRAMS["insertion_sort"]())
+    steps = [
+        ("vm_cli", ["asm", "prog.s", "-o", "prog.vmexe", "--profile",
+                    "--name", "insertion_sort"]),
+        ("vm_cli", ["run", "prog.vmexe", "--profile", "--gmon", "g.gmon"]),
+        ("gprof_cli", ["prog.vmexe", "g.gmon"]),
+    ]
+    for cli, argv in steps:
+        out = _run_checked(
+            "import sys\n"
+            f"from repro.cli.{cli} import main\n"
+            f"status = main({argv!r})\n"
+            "print('numpy' in sys.modules, status)",
+            tmp_path,
+        )
+        assert out.splitlines()[-1] == "False 0", (cli, argv, out)
+    assert "call graph profile" in out
+
+
+def test_every_exported_name_resolves():
+    import repro
+    import repro.core
+    import repro.machine
+
+    for package in (repro, repro.core, repro.machine):
+        for name in package.__all__:
+            assert getattr(package, name) is not None, (package, name)
+    # an export wins over the same-named submodule, as with eager imports
+    import repro.core.propagate  # noqa: F401 - binds the submodule
+
+    assert callable(repro.core.propagate)
+    assert callable(repro.core.coverage)
+    namespace: dict = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)

@@ -202,6 +202,57 @@ class TestTreeReduce:
         for jobs in (2, 3):
             assert dumps_gmon(tree_reduce(paths, jobs=jobs)) == reference
 
+    def test_workers_inherit_numpy_from_the_parent(self, tmp_path):
+        """Under ``auto`` the parent settles the fold backend before the
+        pool forks: on a layout at the fold crossover every worker
+        starts with numpy already imported, and the sum is byte-identical
+        to the in-process merge.  Each worker's hook leaves a marker, so
+        the test fails if the check never ran."""
+        import multiprocessing
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.core import kernels
+
+        if not kernels.HAVE_NUMPY:
+            pytest.skip("numpy is not installed")
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the parent's modules only by fork")
+        paths = _synthetic_fleet(
+            tmp_path, 8, nbuckets=kernels.CROSSOVERS["fold"]
+        )
+        out = tmp_path / "parallel.sum"
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        code = (
+            "import os, sys\n"
+            "import repro.fleet.reduce as reduce_mod\n"
+            "from repro.gmon import write_gmon\n"
+            "def hook(chunk):\n"
+            "    assert 'numpy' in sys.modules, 'worker lacks numpy'\n"
+            f"    open(os.path.join({str(markers)!r}, str(os.getpid())),"
+            " 'w').close()\n"
+            "reduce_mod._chunk_fault_hook = hook\n"
+            "reduce_mod.MIN_FILES_PER_WORKER = 1\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"merged = reduce_mod.tree_reduce({paths!r}, jobs=2)\n"
+            f"write_gmon(merged, {str(out)!r})\n"
+        )
+        env = dict(os.environ)
+        env.pop("REPRO_KERNELS", None)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert any(markers.iterdir()), "no worker ran the check"
+        reference = dumps_gmon(tree_reduce(paths, jobs=1))
+        assert out.read_bytes() == reference
+
     def test_merge_paths_expands_globs_and_directories(self, tmp_path):
         paths = _synthetic_fleet(tmp_path, 6)
         reference = dumps_gmon(tree_reduce(sorted(paths), jobs=1))

@@ -61,10 +61,41 @@ class TestSelection:
         assert kernels.get_backend("auto").name != "python"
         assert kernels.get_backend().name != "python"
 
-    def test_auto_prefers_numpy_when_present(self):
-        expected = "numpy" if kernels.HAVE_NUMPY else "array"
-        assert kernels.get_backend("auto").name == expected
-        assert kernels.default_backend_name() == expected
+    def test_auto_switches_at_each_crossover(self):
+        assert set(kernels.CROSSOVERS) == {"fold", "apportion", "propagate"}
+        assert kernels.CROSSOVERS["apportion"] is None  # numpy never wins
+        for kernel, crossover in kernels.CROSSOVERS.items():
+            at = crossover if crossover is not None else 1 << 40
+            below = kernels.get_backend("auto", kernel, at - 1)
+            above = kernels.get_backend("auto", kernel, at)
+            assert below.name == "array", kernel
+            wins = kernels.HAVE_NUMPY and crossover is not None
+            assert above.name == ("numpy" if wins else "array"), kernel
+            assert kernels.get_backend(None, kernel, at).name == above.name
+        assert kernels.default_backend_name() == "auto"
+
+    def test_explicit_selection_ignores_size(self, monkeypatch):
+        for size in (0, 1 << 40):
+            for name in ("python", "array"):
+                assert kernels.get_backend(name, "fold", size).name == name
+        monkeypatch.setenv(kernels.ENV_VAR, "array")
+        assert kernels.get_backend(None, "fold", 1 << 40).name == "array"
+        if kernels.HAVE_NUMPY:
+            kernels.set_default_backend("numpy")
+            assert kernels.get_backend(None, "fold", 1).name == "numpy"
+            assert kernels.default_backend_name() == "numpy"
+
+    def test_broken_numpy_falls_back_to_array(self, monkeypatch):
+        import sys
+
+        if not kernels.HAVE_NUMPY:
+            pytest.skip("numpy is not installed")
+        monkeypatch.setattr(kernels, "_REGISTRY", dict(kernels._REGISTRY))
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        assert kernels.get_backend("auto", "fold", 1 << 40).name == "array"
+        assert "numpy" not in kernels.available_backends()
+        with pytest.raises(KernelBackendError):
+            kernels.get_backend("numpy")
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(kernels.ENV_VAR, "python")
@@ -367,6 +398,26 @@ class TestAccumulatorBackend:
         assert acc.timings["bytes"] == 2 * len(make_wire_profile())
         assert acc.timings["parse_seconds"] >= 0.0
         assert acc.timings["fold_seconds"] >= 0.0
+
+
+def test_auto_accumulator_names_the_backend_that_folds():
+    """Under auto the fold backend follows the first input's bucket
+    count; ``backend_name`` (what ``serve`` stats and ``repro-merge
+    --stats`` report) names it."""
+    from repro.core import Histogram, ProfileData
+    from repro.gmon import dumps_gmon
+
+    def wire(nbuckets: int) -> bytes:
+        hist = Histogram(0, 4 * nbuckets, [1] * nbuckets, 100)
+        return dumps_gmon(ProfileData(hist, []))
+
+    crossover = kernels.CROSSOVERS["fold"]
+    small = ProfileAccumulator().add(wire(crossover - 1))
+    assert small.backend_name == "array"
+    large = ProfileAccumulator().add(wire(crossover))
+    assert large.backend_name == ("numpy" if kernels.HAVE_NUMPY else "array")
+    merged = ProfileAccumulator().merge_from(large)
+    assert merged.backend_name == large.backend_name
 
 
 def make_wire_profile() -> bytes:
