@@ -2,12 +2,12 @@
 
 The paper merged a handful of runs; the production target merges
 thousands of ``gmon.out`` files per program.  This benchmark pits the
-:mod:`repro.fleet` streaming tree-reduction driver against the legacy
+:mod:`repro.fleet` streaming merge driver against the legacy
 pairwise ``merge_profiles`` fold on the same synthetic fleet, and
 asserts the two contracts the subsystem lives by:
 
 * **byte-identity** — driver output written as ``gmon.sum`` is
-  identical to the sequential fold's, for any worker count;
+  identical to the sequential fold's;
 * **throughput** — the driver is strictly faster than the pairwise
   fold (the committed BENCH_fleet.json records 4-7x on fleets of
   10-1000 files; here we only assert direction, not magnitude, to

@@ -6,8 +6,8 @@ byte-identity gate (``--suite``, default ``fleet``):
 =========  ===============  ===========================================
 suite      report           exits 2 when
 =========  ===============  ===========================================
-fleet      T-FLEET          the parallel ``tree_reduce`` sum differs
-                            from the sequential pairwise fold
+fleet      T-FLEET          the ``tree_reduce`` sum differs from the
+                            legacy pairwise fold
 vm         T-VM             the fast engine's gmon differs from the
                             reference engine's
 pipeline   T-PIPE           a cached analysis renders a different
@@ -26,9 +26,8 @@ pgo        T-PGO            a PGO'd program diverges, its assembly is
 =========  ===============  ===========================================
 
 The fleet suite lives here: for fleets of 10/100/1000 synthetic gmon
-files it times the legacy pairwise fold, the :mod:`repro.fleet`
-tree-reduction driver at its default worker count, and the same driver
-forced onto 2 workers.  The other suites live in
+files it times the legacy pairwise fold against the :mod:`repro.fleet`
+merge driver.  The other suites live in
 ``benchmarks/bench_<suite>.py`` and are imported only when selected.
 
 Usage::
@@ -126,23 +125,14 @@ def run(quick: bool) -> tuple[dict, bool]:
             driver_s, driver_data = timed(
                 lambda: tree_reduce(paths), cfg["repeats"]
             )
-            parallel_s, parallel_data = timed(
-                lambda: tree_reduce(paths, jobs=2), cfg["repeats"]
-            )
-            legacy_bytes = dumps_gmon(legacy_data)
-            identical = (
-                dumps_gmon(driver_data) == legacy_bytes
-                and dumps_gmon(parallel_data) == legacy_bytes
-            )
+            identical = dumps_gmon(driver_data) == dumps_gmon(legacy_data)
             identical_everywhere &= identical
             row = {
                 "files": n,
                 "legacy_seconds": round(legacy_s, 6),
                 "driver_seconds": round(driver_s, 6),
-                "parallel_seconds": round(parallel_s, 6),
                 "legacy_profiles_per_sec": round(n / legacy_s, 1),
                 "driver_profiles_per_sec": round(n / driver_s, 1),
-                "parallel_profiles_per_sec": round(n / parallel_s, 1),
                 "speedup_driver_vs_legacy": round(legacy_s / driver_s, 2),
                 "byte_identical": identical,
             }
@@ -178,7 +168,7 @@ SUITES = {
         "T-FLEET",
         "BENCH_fleet.json",
         run,
-        "parallel output differs from sequential",
+        "merge driver output differs from the pairwise fold",
     ),
     "vm": (
         "T-VM",

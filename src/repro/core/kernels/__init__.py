@@ -106,7 +106,7 @@ if HAVE_NUMPY:  # registered now, imported on first use
         "numpy",
         _buckets.NumpyBucketAccumulator,
         _arcs.NumpyArcTable,
-        _spans.apportion_numpy,
+        _spans.apportion_array,
         vector_propagate=True,
     )
 
@@ -115,8 +115,8 @@ if HAVE_NUMPY:  # registered now, imported on first use
 #: run of ``python -m benchmarks.kernel_crossover``.  Propagation sits
 #: within 5% of parity from 512 to 2048 arcs, so its crossover is the
 #: first length where numpy led in every run.  None means numpy never
-#: wins: its apportion runs at about half the speed of ``array`` at
-#: every length.
+#: wins: a numpy apportion ran at about 0.8x ``array`` at every length,
+#: so the numpy backend now apportions with ``array``'s evaluator.
 CROSSOVERS: dict[str, int | None] = {
     "fold": 512,
     "apportion": None,

@@ -13,13 +13,14 @@ so the backends differ only in how wire blobs reach the dict:
   blob, then the same dict updates over step-sliced columns; saves the
   per-record tuple construction.
 * :class:`NumpyArcTable` — *deferred* condensing: blobs are stacked as
-  structured-array views and condensed only when the table is read —
-  one sort + ``add.reduceat`` per flush groups every record of every
-  pending blob at C speed (a single u64-key sort when both PCs fit 32
-  bits, a two-key lexsort otherwise).  Counts are summed in u64 (exact:
-  reaching 2**64 would need 2**32 pending records ≈ 80 GiB of blob)
-  and enter the dict as python ints, so cross-flush totals are
-  unbounded and identical to the reference.
+  structured-array views and condensed when the table is read or
+  :data:`FLUSH_RECORDS` records are pending — one sort +
+  ``add.reduceat`` per flush groups every record of every pending blob
+  at C speed (a single u64-key sort when both PCs fit 32 bits, a
+  two-key lexsort otherwise).  Counts are summed in u64 (exact: reaching
+  2**64 would need 2**32 pending records ≈ 80 GiB of blob) and enter
+  the dict as python ints, so cross-flush totals are unbounded and
+  identical to the reference.
 
 Addition of non-negative integers is commutative and exact, so all
 three orders of summation produce the same table.
@@ -32,6 +33,11 @@ import struct
 #: Wire shape of one arc record (kept in sync with repro.gmon.format;
 #: duplicated here so the kernels stay importable below the gmon layer).
 _ARC = struct.Struct("<QQI")
+
+#: Pending records at which :class:`NumpyArcTable` condenses (5 MiB of
+#: blob).  Without a bound, a long merge would hold every input's arc
+#: blob until the table is read.
+FLUSH_RECORDS = 1 << 18
 
 
 class ArcTable:
@@ -60,14 +66,6 @@ class ArcTable:
         for from_pc, self_pc, count in items:
             k = (from_pc, self_pc)
             d[k] = get(k, 0) + count
-        return self
-
-    def fold(self, other: "ArcTable") -> "ArcTable":
-        """Fold another table (any backend) into this one."""
-        d = self._d
-        get = d.get
-        for k, c in other.as_dict().items():
-            d[k] = get(k, 0) + c
         return self
 
     # -- results ----------------------------------------------------------
@@ -113,16 +111,19 @@ class NumpyArcTable(ArcTable):
     def __init__(self) -> None:
         super().__init__()
         self._pending: list = []  # structured-array views, not yet condensed
+        self._npending = 0  # records across self._pending
 
     def fold_blob(self, blob: bytes) -> "NumpyArcTable":
         if blob:
             import numpy as np
 
-            self._pending.append(
-                np.frombuffer(
-                    blob, dtype=np.dtype([("f", "<u8"), ("s", "<u8"), ("c", "<u4")])
-                )
+            rec = np.frombuffer(
+                blob, dtype=np.dtype([("f", "<u8"), ("s", "<u8"), ("c", "<u4")])
             )
+            self._pending.append(rec)
+            self._npending += len(rec)
+            if self._npending >= FLUSH_RECORDS:
+                self._flush()
         return self
 
     def _flush(self) -> None:
@@ -136,6 +137,7 @@ class NumpyArcTable(ArcTable):
             else np.concatenate(self._pending)
         )
         self._pending = []
+        self._npending = 0
         f, s = rec["f"], rec["s"]
         if int(f.max()) < 1 << 32 and int(s.max()) < 1 << 32:
             # PCs fit 32 bits (every VM image here, and most real ones):

@@ -22,13 +22,14 @@ Each symbol's span is compressed into segments:
 Why every backend is bit-identical to every other, not merely close:
 evaluation adds segment contributions in ascending bucket order —
 edges as a scalar ``counts[idx] * w`` multiply, runs as
-``float(integer_sum)`` — and the three backends differ *only* in how
-a run's integer sum is computed: per-bucket python loop (python),
-``itertools.accumulate`` prefix sums (array), u64 ``np.cumsum``
-(numpy).  Integer arithmetic is exact in all three (sums below 2**53
-convert to float losslessly; the guard in :func:`apportion_numpy`
-keeps u64 exact), so all backends perform the same sequence of float
-operations on the same values.
+``float(integer_sum)`` — and the two evaluators differ *only* in how
+a run's integer sum is computed: per-bucket python loop (python
+backend), ``itertools.accumulate`` prefix sums (array and numpy
+backends; a numpy cumulative sum measured slower than the prefix sums,
+so numpy has no evaluator of its own).  Integer arithmetic is exact
+in both (sums below 2**53 convert to float losslessly), so every
+backend performs the same sequence of float operations on the same
+values.
 
 Relative to the historical per-bucket evaluation (which added every
 run bucket to the accumulator one at a time), collapsing a run into
@@ -163,27 +164,4 @@ def apportion_array(spans: SymbolSpans, counts, sec_per_tick) -> dict:
     prefix = list(accumulate(counts, initial=0))
     return _evaluate(
         spans, counts, sec_per_tick, lambda a, b: prefix[b] - prefix[a]
-    )
-
-
-def apportion_numpy(spans: SymbolSpans, counts, sec_per_tick) -> dict:
-    """Numpy evaluator: u64 cumulative sum, O(1) per run."""
-    if not spans.entries:
-        return {}
-    n = len(counts)
-    peak = max(counts) if n else 0
-    if peak and peak * n >= 1 << 64:
-        # Conservative u64-overflow guard; big ints stay exact in the
-        # stdlib path.  Unreachable for wire-format inputs (u32 counts).
-        return apportion_array(spans, counts, sec_per_tick)
-    import numpy as np
-
-    cs = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(np.asarray(counts, dtype=np.uint64), out=cs[1:])
-    # Only the segment endpoints are ever read — index the u64 vector
-    # directly instead of boxing every lane.  u64 -> int is exact, so
-    # run sums equal the reference's python-int sums bit for bit.
-    item = cs.item
-    return _evaluate(
-        spans, counts, sec_per_tick, lambda a, b: item(b) - item(a)
     )

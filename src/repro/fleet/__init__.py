@@ -13,11 +13,10 @@ files per program.  This package is that scale jump, in three layers:
   stat-validated :class:`HeaderCache`, so incompatible files are
   rejected (or skipped) from a few hundred bytes before any real
   parsing, with a structured :class:`~repro.errors.MergeError`;
-* :mod:`repro.fleet.reduce` — the multiprocessing tree-reduction
-  driver: chunk the inputs, stream each chunk through a worker-local
-  accumulator, fold the partials in input order.  Output is
-  byte-identical for any worker count, and identical to the
-  sequential ``merge_profiles([read_gmon(p) ...])`` fold.
+* :mod:`repro.fleet.reduce` — the merge driver: expand inputs,
+  precheck headers, then stream every file through one accumulator in
+  input order.  Output is identical to the sequential
+  ``merge_profiles([read_gmon(p) ...])`` fold.
 
 The ``repro-merge`` CLI and ``repro-gprof --sum`` sit on top;
 ``benchmarks/emit_bench.py`` tracks the throughput trajectory in

@@ -9,7 +9,7 @@ loss of routines will make its output more granular").
 Two selection policies share one expansion engine:
 
 * **static** (``-O2``, no profile): every safely-inlinable routine is
-  expanded — the old ``optimize(program, inline=True)`` behaviour.
+  expanded.
 * **profile-driven** (feedback present): a candidate is expanded only
   when the measured benefit — arc call count × the per-call linkage
   cost × a body-size discount — clears :data:`MIN_BENEFIT_CYCLES`.

@@ -6,9 +6,8 @@ Two halves:
   per-call estimate" — checked on every pytest run, not only under
   pytest-benchmark (it used to live solely in ``bench_merge.py``);
 * the :mod:`repro.fleet` driver: input expansion, header precheck,
-  tree reduction determinism (byte-identical output for any worker
-  count), salvage propagation, and the ``repro-merge`` /
-  ``repro-gprof --sum`` CLIs.
+  determinism (byte-identical to the sequential fold), salvage
+  propagation, and the ``repro-merge`` / ``repro-gprof --sum`` CLIs.
 """
 
 from __future__ import annotations
@@ -184,80 +183,20 @@ class TestHeaderPrecheck:
         assert cache.hits == 5
 
 
-# -- the tree-reduction driver ----------------------------------------------------
+# -- the merge driver -------------------------------------------------------------
 
 
 class TestTreeReduce:
     def test_matches_the_sequential_fold_byte_for_byte(self, tmp_path):
         paths = _synthetic_fleet(tmp_path, 30)
         sequential = merge_profiles([read_gmon(p) for p in paths])
-        assert dumps_gmon(tree_reduce(paths, jobs=1)) == dumps_gmon(sequential)
-
-    def test_worker_count_never_changes_the_bytes(self, tmp_path, monkeypatch):
-        import repro.fleet.reduce as reduce_mod
-
-        monkeypatch.setattr(reduce_mod, "MIN_FILES_PER_WORKER", 1)
-        paths = _synthetic_fleet(tmp_path, 17)
-        reference = dumps_gmon(tree_reduce(paths, jobs=1))
-        for jobs in (2, 3):
-            assert dumps_gmon(tree_reduce(paths, jobs=jobs)) == reference
-
-    def test_workers_inherit_numpy_from_the_parent(self, tmp_path):
-        """Under ``auto`` the parent settles the fold backend before the
-        pool forks: on a layout at the fold crossover every worker
-        starts with numpy already imported, and the sum is byte-identical
-        to the in-process merge.  Each worker's hook leaves a marker, so
-        the test fails if the check never ran."""
-        import multiprocessing
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        from repro.core import kernels
-
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy is not installed")
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers inherit the parent's modules only by fork")
-        paths = _synthetic_fleet(
-            tmp_path, 8, nbuckets=kernels.CROSSOVERS["fold"]
-        )
-        out = tmp_path / "parallel.sum"
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        code = (
-            "import os, sys\n"
-            "import repro.fleet.reduce as reduce_mod\n"
-            "from repro.gmon import write_gmon\n"
-            "def hook(chunk):\n"
-            "    assert 'numpy' in sys.modules, 'worker lacks numpy'\n"
-            f"    open(os.path.join({str(markers)!r}, str(os.getpid())),"
-            " 'w').close()\n"
-            "reduce_mod._chunk_fault_hook = hook\n"
-            "reduce_mod.MIN_FILES_PER_WORKER = 1\n"
-            "assert 'numpy' not in sys.modules\n"
-            f"merged = reduce_mod.tree_reduce({paths!r}, jobs=2)\n"
-            f"write_gmon(merged, {str(out)!r})\n"
-        )
-        env = dict(os.environ)
-        env.pop("REPRO_KERNELS", None)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert any(markers.iterdir()), "no worker ran the check"
-        reference = dumps_gmon(tree_reduce(paths, jobs=1))
-        assert out.read_bytes() == reference
+        assert dumps_gmon(tree_reduce(paths)) == dumps_gmon(sequential)
 
     def test_merge_paths_expands_globs_and_directories(self, tmp_path):
         paths = _synthetic_fleet(tmp_path, 6)
-        reference = dumps_gmon(tree_reduce(sorted(paths), jobs=1))
-        via_glob = merge_paths([str(tmp_path / "gmon_*.out")], jobs=1)
-        via_dir = merge_paths([str(tmp_path)], jobs=1)
+        reference = dumps_gmon(tree_reduce(sorted(paths)))
+        via_glob = merge_paths([str(tmp_path / "gmon_*.out")])
+        via_dir = merge_paths([str(tmp_path)])
         assert dumps_gmon(via_glob) == reference
         assert dumps_gmon(via_dir) == reference
 
@@ -271,8 +210,8 @@ class TestTreeReduce:
         torn = tmp_path / "gmon_0000.out"
         torn.write_bytes(blob[:-10])  # tear inside the arc table
         with pytest.raises(GmonFormatError):
-            tree_reduce(paths, jobs=1)
-        merged = tree_reduce(paths, jobs=1, salvage=True)
+            tree_reduce(paths)
+        merged = tree_reduce(paths, salvage=True)
         assert merged.degraded
         assert any(
             "arc table truncated" in w and str(torn) in w
@@ -286,7 +225,7 @@ class TestTreeReduce:
         data = read_gmon(good[0]).copy()
         data.runs = 0
         write_gmon(data, chk)
-        merged = tree_reduce(good + [str(chk)], jobs=1)
+        merged = tree_reduce(good + [str(chk)])
         assert merged.runs == 2  # 1 + clamped 1
         assert any("runs == 0" in w for w in merged.warnings)
 
@@ -298,7 +237,7 @@ class TestTreeReduce:
         b = read_gmon(paths[1]).copy()
         b.runs = 4
         write_gmon(b, paths[1])
-        assert tree_reduce(paths, jobs=1).runs == 7
+        assert tree_reduce(paths).runs == 7
 
 
 # -- the accumulator directly -----------------------------------------------------
@@ -379,11 +318,6 @@ class TestMergeCli:
         assert merge_main(["-o", str(out), "--salvage", str(tmp_path)]) == 0
         assert "salvage" in capsys.readouterr().err
         assert read_gmon(out).runs == 3
-
-    def test_bad_jobs_rejected(self, capsys):
-        from repro.cli.merge_cli import main as merge_main
-
-        assert merge_main(["--jobs", "0", "whatever"]) == 2
 
     def test_stats_report_backend_and_phase_split(self, tmp_path, capsys):
         from repro.cli.merge_cli import main as merge_main

@@ -11,6 +11,7 @@ demotion paths, error shapes, memoization — with hand-built inputs.
 from __future__ import annotations
 
 import pickle
+import random
 import struct
 
 import pytest
@@ -170,19 +171,6 @@ class TestBuckets:
         with pytest.raises(KernelBackendError):
             acc.fold_blob(pack_buckets([1, 2, 3, 4]))
 
-    def test_cross_backend_fold(self, backend):
-        for other_name in BACKENDS:
-            other = kernels.get_backend(other_name).bucket_acc()
-            other.fold_blob(pack_buckets([1, 2, 3]))
-            acc = self.make(backend).fold_seq([10, 20, 30])
-            acc.fold(other)
-            assert acc.to_list() == [11, 22, 33]
-
-    def test_fold_of_empty_is_identity(self, backend):
-        acc = self.make(backend).fold_seq([7, 8])
-        acc.fold(self.make(backend))
-        assert acc.to_list() == [7, 8]
-
     def test_saturated_blob_storm(self, backend):
         """Many maximally-saturated wire inputs stay exact."""
         blob = pack_buckets([0xFFFFFFFF, 1, 0])
@@ -263,13 +251,32 @@ class TestArcs:
         t.fold_blob(pack_arcs([(1, 2, 10)]))
         assert t.as_dict() == {(1, 2): 13}
 
-    def test_cross_backend_fold(self, backend):
-        for other_name in BACKENDS:
-            other = kernels.get_backend(other_name).arc_table()
-            other.fold_blob(pack_arcs([(1, 2, 3), (4, 5, 6)]))
-            t = self.make(backend).fold_items([(1, 2, 1)])
-            t.fold(other)
-            assert t.as_dict() == {(1, 2): 4, (4, 5): 6}
+
+@pytest.mark.parametrize("self_base", [0x2000, 1 << 40],
+                         ids=["32-bit", "64-bit"])
+def test_numpy_arc_table_condenses_at_the_flush_bound(monkeypatch, self_base):
+    """Past the bound the numpy table condenses as it goes (on both the
+    32-bit packed-key and the lexsort path): it never holds more
+    pending records than the bound, and its table equals the
+    reference's."""
+    if not kernels.HAVE_NUMPY:
+        pytest.skip("numpy not available")
+    bound = 16
+    monkeypatch.setattr(karcs, "FLUSH_RECORDS", bound)
+    rng = random.Random(7)
+    t = kernels.get_backend("numpy").arc_table()
+    ref = kernels.get_backend("python").arc_table()
+    for _ in range(40):
+        blob = pack_arcs([
+            (rng.randrange(8), self_base + rng.randrange(8),
+             rng.randrange(1, 1 << 32))
+            for _ in range(rng.randrange(0, 11))
+        ])
+        t.fold_blob(blob)
+        ref.fold_blob(blob)
+        assert sum(len(r) for r in t._pending) <= bound
+    assert t._d  # condensed before anything read the table
+    assert t.as_dict() == ref.as_dict()
 
 
 # -- apportionment spans -----------------------------------------------------
@@ -312,17 +319,6 @@ class TestSpans:
         s3 = spans_for(symbols, 0, 200, 16)
         assert s1 is s2
         assert s3 is not s1 and s3.nbuckets == 16
-
-    def test_numpy_overflow_guard_falls_back(self):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy not available")
-        from repro.core.kernels.spans import apportion_numpy
-
-        symbols = make_symbols("a", "b")
-        spans = build_spans(0, 200, 8, symbols)
-        counts = [1 << 62] * 8  # peak * n overflows u64
-        ref = kernels.get_backend("python").apportion(spans, counts, 0.01)
-        assert apportion_numpy(spans, counts, 0.01) == ref
 
 
 # -- propagation plans -------------------------------------------------------
@@ -416,8 +412,6 @@ def test_auto_accumulator_names_the_backend_that_folds():
     assert small.backend_name == "array"
     large = ProfileAccumulator().add(wire(crossover))
     assert large.backend_name == ("numpy" if kernels.HAVE_NUMPY else "array")
-    merged = ProfileAccumulator().merge_from(large)
-    assert merged.backend_name == large.backend_name
 
 
 def make_wire_profile() -> bytes:

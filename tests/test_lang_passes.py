@@ -1,6 +1,5 @@
 """Tests for the staged pass pipeline behind the optimizer facade."""
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -87,44 +86,6 @@ class TestFacade:
     def test_level_0_is_identity(self):
         program = parse(SRC)
         assert generate(optimize(program, level=0)) == generate(program)
-
-    def test_historical_positional_bool_means_inline(self):
-        # the pre-pipeline spelling optimize(program, True)
-        program = parse(SRC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert generate(optimize(program, True)) == generate(
-                optimize(program, level=2)
-            )
-            assert generate(optimize(program, False)) == generate(
-                optimize(program, level=1)
-            )
-
-    def test_inline_kwarg_warns_exactly_once(self):
-        import importlib
-
-        optimize_module = importlib.import_module("repro.lang.optimize")
-        program = parse(SRC)
-        optimize_module._warned_inline_kwarg = False
-        try:
-            with pytest.warns(DeprecationWarning, match="level=2"):
-                optimize(program, inline=True)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                optimize(program, inline=False)  # second use: silent
-        finally:
-            optimize_module._warned_inline_kwarg = False
-
-    def test_inline_kwarg_maps_to_levels(self):
-        program = parse(SRC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert generate(optimize(program, inline=True)) == generate(
-                optimize(program, level=2)
-            )
-            assert generate(optimize(program, inline=False)) == generate(
-                optimize(program, level=1)
-            )
 
 
 class TestHintPreservation:
