@@ -6,20 +6,20 @@ measurement is complicated on time-sharing systems by the time-slicing
 of the program.  A second method samples the value of the program
 counter... particularly suited to time-sharing systems."
 
-Shape reproduced: running the measured program alongside a competing
-process on a round-robin machine,
+Shape reproduced: running the measured program beside N copies of
+itself on a one-CPU round-robin machine (``SMPMachine`` with
+``ncpus=1``, ``policy="rr"``),
 
 * the elapsed-time profiler's per-activation figure for the measured
-  routine inflates with the competitor's share of the machine (≈2x
-  with one equal competitor, ≈Nx with N), while
-* the PC-sampling histogram of the measured process is bit-identical
-  to a solo run — its clock only advances while it runs.
+  routine inflates with the competitors' share of the machine (≈2x
+  with one competitor, ≈Nx with N), while
+* the PC-sampling histogram does not move: each process's clock only
+  advances while it runs, so the merged histogram of 1+N copies is
+  exactly 1+N times a solo run's, bucket by bucket.
 """
 
-import pytest
-
-from repro.machine import CPU, Monitor, MonitorConfig, assemble
-from repro.machine.timeshare import ElapsedTimeProfiler, TimeSharedMachine
+from repro.machine import assemble
+from repro.machine.smp import ElapsedTimeProfiler, SMPMachine
 
 from benchmarks.conftest import report
 
@@ -44,36 +44,22 @@ loop:
 .end
 """
 
-COMPETITOR = """
-.func main
-    PUSH 500
-    STORE 0
-loop:
-    WORK 100
-    LOAD 0
-    PUSH 1
-    SUB
-    STORE 0
-    LOAD 0
-    JNZ loop
-    HALT
-.end
-"""
-
-
 def run_machine(n_competitors: int):
-    """Run the measured program beside ``n_competitors`` noise processes."""
+    """Run the measured program beside ``n_competitors`` copies of itself."""
     exe = assemble(MEASURED, name="measured", profile=True)
-    monitor = Monitor(MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=10))
-    measured = CPU(exe, monitor)
-    cpus = [measured] + [
-        CPU(assemble(COMPETITOR, name=f"noise{i}")) for i in range(n_competitors)
-    ]
-    machine = TimeSharedMachine(cpus, quantum=150)
-    elapsed = ElapsedTimeProfiler(machine.wall_clock)
-    measured.tracer = elapsed
+    machine = SMPMachine(
+        exe,
+        ncpus=1,
+        nprocs=1 + n_competitors,
+        policy="rr",
+        quantum=150,
+        cycles_per_tick=10,
+    )
+    measured = machine.procs[0]
+    elapsed = ElapsedTimeProfiler(measured.wall_clock)
+    measured.cpu.tracer = elapsed
     machine.run()
-    return exe, monitor, elapsed
+    return exe, machine.merged_profile().histogram, elapsed
 
 
 def test_elapsed_inflates_with_load(benchmark):
@@ -94,18 +80,22 @@ def test_elapsed_inflates_with_load(benchmark):
 
 
 def test_sampling_immune_to_load(benchmark):
+    histograms = {}
     profiles = {}
     for n in (0, 1, 3):
-        exe, monitor, _ = run_machine(n)
-        profiles[n] = monitor.histogram.assign_samples(exe.symbol_table())
+        exe, histogram, _ = run_machine(n)
+        histograms[n] = histogram.counts
+        profiles[n] = histogram.assign_samples(exe.symbol_table())
     rows = [
         (f"{n} competitors",
-         f"{profiles[n].get('step_work', 0):.3f}s",
-         f"{profiles[n].get('main', 0):.3f}s")
+         f"{profiles[n].get('step_work', 0) / (1 + n):.3f}s",
+         f"{profiles[n].get('main', 0) / (1 + n):.3f}s")
         for n in (0, 1, 3)
     ]
-    report("Sampling method: step_work / main self time",
+    report("Sampling method: step_work / main self time per process",
            rows, header=("load", "step_work", "main"))
     benchmark(lambda: run_machine(0))
-    # bit-identical across machine loads
-    assert profiles[0] == profiles[1] == profiles[3]
+    # exact multiples of the solo histogram across machine loads
+    assert sum(histograms[0]) > 0
+    for n in (1, 3):
+        assert histograms[n] == [(1 + n) * c for c in histograms[0]]

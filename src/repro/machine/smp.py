@@ -45,12 +45,22 @@ CPUs the way the real kernels did:
   same profile an uninterrupted run produces
   (``tests/test_smp_chaos.py`` sweeps every boundary).
 
+* **Why gprof samples (§3.2).**  The paper rejects timing routines
+  from entry to exit because "time measurement is complicated on
+  time-sharing systems by the time-slicing of the program", and
+  samples the program counter instead.  :class:`ElapsedTimeProfiler`
+  is the rejected method, stamping entry and exit with
+  :meth:`Process.wall_clock`.  A one-CPU machine under the ``rr``
+  policy is the time-sharing machine of that argument: the elapsed
+  figure inflates with every process sharing the CPU, while each
+  process's sampled profile ticks on its own clock and does not move
+  (``benchmarks/bench_timesharing.py``).
+
 The wall clock models N CPUs advancing together: each scheduling round
 dispatches at most one process per CPU, and the wall advances by the
 *maximum* cycles any CPU consumed that round — stragglers make the
-round longer for everyone, which is exactly the effect that inflates
-the §3.2 rejected elapsed-time measurement as the machine grows
-(``tests/test_smp_bias.py``).
+round longer for everyone, which inflates the elapsed-time
+measurement further as the machine grows (``tests/test_smp_bias.py``).
 """
 
 from __future__ import annotations
@@ -341,6 +351,48 @@ class Process:
     def wall_clock(self) -> int:
         """This process's view of the wall clock (for tracers)."""
         return self.wall_base + self.cpu.cycles
+
+
+@dataclass
+class ElapsedTimeProfiler:
+    """The paper's rejected method: wall-clock entry-to-exit timing.
+
+    Installed as a CPU's ``tracer``; ``clock`` is a zero-argument
+    callable returning the current *wall* time (a process's
+    :meth:`Process.wall_clock`).  Each routine accumulates the wall
+    time between its entry and its exit — including any slices the
+    scheduler gave to other processes in between, which is precisely
+    the method's flaw.
+
+    Attributes:
+        inclusive_wall: routine name → total wall cycles between entry
+            and exit, summed over activations.
+        activations: routine name → number of completed activations.
+    """
+
+    clock: callable
+    inclusive_wall: dict[str, int] = field(default_factory=dict)
+    activations: dict[str, int] = field(default_factory=dict)
+    _stack: list[tuple[str, int]] = field(default_factory=list)
+
+    def on_call(self, cpu: CPU, target: int) -> None:
+        fn = cpu.exe.function_at(target)
+        name = fn.name if fn else f"<0x{target:x}>"
+        self._stack.append((name, self.clock()))
+
+    def on_return(self, cpu: CPU) -> None:
+        if not self._stack:
+            return
+        name, start = self._stack.pop()
+        self.inclusive_wall[name] = (
+            self.inclusive_wall.get(name, 0) + self.clock() - start
+        )
+        self.activations[name] = self.activations.get(name, 0) + 1
+
+    def mean_wall(self, name: str) -> float:
+        """Average wall cycles per activation of ``name``."""
+        n = self.activations.get(name, 0)
+        return self.inclusive_wall.get(name, 0) / n if n else 0.0
 
 
 class SMPMachine:

@@ -12,7 +12,7 @@ work unchanged.
 from repro.pyprof.addresses import FUNC_SIZE, AddressSpace
 from repro.pyprof.annotate import format_annotated_source, hottest_lines
 from repro.pyprof.profiler import EXACT_PROFRATE, Profiler, profile_call
-from repro.pyprof.sampler import SampleStore, SignalSampler, ThreadSampler
+from repro.pyprof.sampler import Sampler, SampleStore
 from repro.pyprof.staticarcs import static_arcs
 from repro.pyprof.tracer import TOPLEVEL, TraceCollector
 
@@ -22,8 +22,7 @@ __all__ = [
     "FUNC_SIZE",
     "Profiler",
     "SampleStore",
-    "SignalSampler",
-    "ThreadSampler",
+    "Sampler",
     "TOPLEVEL",
     "TraceCollector",
     "format_annotated_source",

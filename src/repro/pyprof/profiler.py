@@ -22,6 +22,10 @@ Three modes, mirroring §3.2's two methods of gathering execution times:
   main thread only).
 * ``"thread"`` — portable wall-clock sampling from a daemon thread.
 
+Both sampling modes run the one profiling clock,
+:class:`~repro.pyprof.sampler.Sampler`, with
+:meth:`~repro.pyprof.sampler.SampleStore.sample_frame` as its sink.
+
 All modes record call graph arcs through the same monitoring-routine
 hash table as the VM (:class:`repro.machine.mcount.ArcTable`).
 """
@@ -36,7 +40,7 @@ from repro.core.profiledata import ProfileData
 from repro.core.symbols import SymbolTable
 from repro.errors import ProfilerError
 from repro.pyprof.addresses import FUNC_SIZE, AddressSpace
-from repro.pyprof.sampler import SampleStore, SignalSampler, ThreadSampler
+from repro.pyprof.sampler import Sampler, SampleStore
 from repro.pyprof.tracer import TraceCollector
 
 #: In exact mode, one histogram tick is one microsecond of self time.
@@ -76,12 +80,11 @@ class Profiler:
             self.space, measure_time=(mode == "exact"), clock=clock
         )
         self._store = SampleStore(self.space, record_lines=record_lines)
-        if mode == "signal":
-            self._sampler = SignalSampler(self._store, interval)
-        elif mode == "thread":
-            self._sampler = ThreadSampler(self._store, interval)
-        else:
-            self._sampler = None
+        self._sampler = (
+            None
+            if mode == "exact"
+            else Sampler(self._store.sample_frame, interval, mode)
+        )
         self._enabled = False
         self._ever_enabled = False
 
@@ -91,11 +94,11 @@ class Profiler:
         """Start gathering; routines already on the stack are primed."""
         if self._enabled:
             raise ProfilerError("profiler is already enabled")
+        if self._sampler is not None:
+            self._sampler.start()
         self._enabled = True
         self._ever_enabled = True
         self.collector.prime(sys._getframe().f_back)
-        if self._sampler is not None:
-            self._sampler.start()
         sys.setprofile(self.collector.callback)
 
     def disable(self) -> None:

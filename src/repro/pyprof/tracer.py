@@ -14,7 +14,7 @@ call site) one link up the frame chain.  §3.1's data falls out directly:
 The same callback can also do *exact* timing (the paper's other method:
 "measures the elapsed time from routine entry to routine exit") by
 keeping a shadow stack and charging inter-event time to its top.  The
-statistical alternative lives in :mod:`repro.pyprof.sampler`.
+statistical alternative is :class:`repro.pyprof.sampler.Sampler`.
 """
 
 from __future__ import annotations

@@ -30,8 +30,7 @@ from pathlib import Path
 from repro.gmon import dumps_gmon
 from repro.machine import assemble
 from repro.machine.programs import PROGRAMS
-from repro.machine.smp import SMPMachine
-from repro.machine.timeshare import ElapsedTimeProfiler
+from repro.machine.smp import ElapsedTimeProfiler, SMPMachine
 
 #: Where the frozen fixtures live.
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -1,5 +1,8 @@
 """Tests for the Python profiler frontend (arcs, timing, lifecycle)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import analyze
@@ -193,6 +196,28 @@ class TestLifecycle:
                 p.enable()
         finally:
             p.disable()
+
+    def test_failed_start_leaves_profiler_disabled(self):
+        # SIGPROF sampling can only start on the main thread; a failed
+        # enable() must leave nothing half-started, so a retry fails
+        # for the same reason rather than "already enabled".
+        p = Profiler(mode="signal")
+        attempts = []
+
+        def enable_twice():
+            for _ in range(2):
+                with pytest.raises(ProfilerError) as excinfo:
+                    p.enable()
+                attempts.append((str(excinfo.value), sys.getprofile()))
+
+        worker = threading.Thread(target=enable_twice)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(attempts) == 2
+        for message, hook in attempts:
+            assert "main thread" in message
+            assert hook is None
 
     def test_extract_while_enabled_rejected(self):
         p = Profiler()

@@ -1,5 +1,8 @@
 """Tests for the call-stack sampling extension (repro.stacks)."""
 
+import functools
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import ProfilerError, ReproError
 from repro.machine import CPU, assemble
 from repro.machine.programs import even_odd, fib, skewed
+from repro.pyprof import AddressSpace, Profiler, Sampler, SampleStore
 from repro.stacks import (
     PyStackSampler,
     StackProfile,
@@ -257,26 +261,53 @@ class TestPyStackSampler:
             entry()
         assert sampler.profile.total_ticks >= 3
 
+    def _samplers(self):
+        """Both sinks of the one profiling clock, in both modes."""
+        for mode in ("signal", "thread"):
+            yield PyStackSampler(interval=0.002, mode=mode)
+            store = SampleStore(AddressSpace())
+            yield Sampler(store.sample_frame, interval=0.002, mode=mode)
+
     def test_double_start_rejected(self):
-        sampler = PyStackSampler(mode="thread")
-        sampler.start()
-        try:
-            with pytest.raises(ProfilerError):
-                sampler.start()
-        finally:
-            sampler.stop()
+        for sampler in self._samplers():
+            sampler.start()
+            try:
+                with pytest.raises(ProfilerError, match="already active"):
+                    sampler.start()
+            finally:
+                sampler.stop()
 
     def test_stop_idempotent(self):
-        sampler = PyStackSampler(mode="thread")
-        sampler.start()
-        sampler.stop()
-        sampler.stop()
+        for sampler in self._samplers():
+            sampler.start()
+            sampler.stop()
+            sampler.stop()
+            assert not sampler.active
+
+    def test_previous_handler_restored(self):
+        def previous(signum, frame):
+            pass
+
+        saved = signal.signal(signal.SIGPROF, previous)
+        try:
+            for sampler in self._samplers():
+                with sampler:
+                    pass
+                assert signal.getsignal(signal.SIGPROF) is previous
+        finally:
+            signal.signal(signal.SIGPROF, saved)
 
     def test_bad_args(self):
-        with pytest.raises(ProfilerError):
-            PyStackSampler(interval=0)
-        with pytest.raises(ProfilerError):
-            PyStackSampler(mode="quantum")
+        store = SampleStore(AddressSpace())
+        for make in (PyStackSampler, functools.partial(Sampler, store.sample_frame)):
+            with pytest.raises(ProfilerError):
+                make(interval=0)
+            with pytest.raises(ProfilerError):
+                make(mode="quantum")
+        # the Profiler builds its sampler up front, so it rejects them too
+        for mode in ("signal", "thread"):
+            with pytest.raises(ProfilerError):
+                Profiler(mode=mode, interval=0)
 
 
 class TestReports:
