@@ -15,6 +15,9 @@ by a *kernel* with three interchangeable backends:
     column stores, ``itertools.accumulate`` prefix sums, and a
     big-integer lane trick that adds thousands of u32 buckets in one
     C-level integer addition.
+    Where no stdlib trick wins it shares the reference code: arc
+    condensing uses the reference table and propagation the scalar
+    plan walk.
 ``numpy``
     Optional; used only when numpy is importable.  Column arithmetic
     over ``frombuffer`` views of the wire blobs.
@@ -73,7 +76,8 @@ class Backend:
     Attributes:
         name: registry name (``python`` / ``array`` / ``numpy``).
         bucket_acc: factory for a histogram-bucket accumulator.
-        arc_table: factory for an arc-condensing table.
+        arc_table: factory for an arc-condensing table (the reference
+            table except under numpy).
         apportion: span evaluator for bucket→routine apportionment.
         vector_propagate: whether §4 propagation uses the batched
             column solver (numpy only; the stdlib backends share the
@@ -97,7 +101,7 @@ _REGISTRY: dict[str, Backend] = {
     "array": Backend(
         "array",
         _buckets.ArrayBucketAccumulator,
-        _arcs.ArrayArcTable,
+        _arcs.ArcTable,
         _spans.apportion_array,
     ),
 }

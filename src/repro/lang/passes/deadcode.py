@@ -17,24 +17,24 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.lang import ast
-from repro.lang.passes.base import Pass
 from repro.lang.passes.fold import replace_program
+from repro.pipeline.trace import Stage
 
 
-class DeadCodePass(Pass):
+class DeadCodePass(Stage):
     """Prune branches, loops, and statements that can never run."""
 
     name = "dead-code"
     requires = ("folded",)
     provides = ("pruned",)
 
-    def run(self, program, feedback, counters):
+    def run(self, state, counters):
         self.counters = counters
         functions = [
             replace(fn, body=tuple(self._stmts(fn.body)))
-            for fn in program.functions
+            for fn in state.program.functions
         ]
-        return replace_program(program, functions)
+        state.program = replace_program(state.program, functions)
 
     def _stmts(self, stmts) -> list[ast.Stmt]:
         out: list[ast.Stmt] = []

@@ -15,22 +15,22 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.lang import ast
-from repro.lang.passes.base import Pass
+from repro.pipeline.trace import Stage
 
 
-class ConstFoldPass(Pass):
+class ConstFoldPass(Stage):
     """Fold constant expressions and apply safe algebraic identities."""
 
     name = "const-fold"
     provides = ("folded",)
 
-    def run(self, program, feedback, counters):
+    def run(self, state, counters):
         self.counters = counters
         functions = [
             replace(fn, body=tuple(self._stmt(s) for s in fn.body))
-            for fn in program.functions
+            for fn in state.program.functions
         ]
-        return replace_program(program, functions)
+        state.program = replace_program(state.program, functions)
 
     # -- statements ------------------------------------------------------
 

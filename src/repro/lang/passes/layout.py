@@ -21,19 +21,19 @@ declaration-shaped region).  Two more invariants:
 
 from __future__ import annotations
 
-from repro.lang.passes.base import Pass
 from repro.lang.passes.fold import replace_program
+from repro.pipeline.trace import Stage
 
 
-class HotColdLayoutPass(Pass):
+class HotColdLayoutPass(Stage):
     """Sort functions hottest-first; cold tail keeps declaration order."""
 
     name = "hot-cold-layout"
-    profile = True
 
-    def run(self, program, feedback, counters):
-        if not Pass.feedback_active(feedback):
-            return program
+    def run(self, state, counters):
+        if not state.feedback_active:
+            return
+        program, feedback = state.program, state.feedback
         decl_index = {fn.name: i for i, fn in enumerate(program.functions)}
         # Group cycle members so they stay adjacent (anchored at the
         # first member's declaration slot, members in declaration order).
@@ -76,4 +76,4 @@ class HotColdLayoutPass(Pass):
             if decl_index[fn.name] != i
         )
         counters["cold_routines"] = sum(len(g) for g in cold)
-        return replace_program(program, ordered)
+        state.program = replace_program(program, ordered)

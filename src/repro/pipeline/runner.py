@@ -1,44 +1,44 @@
-"""The pass-manager: walk the §4 stages, trace them, memoize them.
+"""Walk the §4 stages, trace them, memoize them.
 
-:func:`run_analysis` is what ``repro.core.analyze`` now delegates to.
-With neither ``trace`` nor ``cache`` it is a plain walk over
-:data:`~repro.pipeline.stages.STAGES` and produces output byte-identical
-to the pre-refactor monolith (the golden gate under ``tests/golden/``
-enforces this).
+:func:`run_analysis` is what ``repro.core.analyze`` delegates to.  It
+runs :data:`~repro.pipeline.stages.STAGES` through the shared
+:func:`~repro.pipeline.trace.run_stages`; with neither ``trace`` nor
+``cache`` its output is byte-identical to the pre-refactor monolith
+(the golden gate under ``tests/golden/`` enforces this).
 
 Caching works on *groups* of contiguous stages.  Each
 :class:`CacheGroup` covers the run of stages whose combined output is
-one expensive intermediate, and its key is a blake2b digest of exactly
+one expensive intermediate: a cache entry holds the state fields the
+group's stages ``provide``, and its key is a blake2b digest of exactly
 the inputs those stages consume — computable *before* any of them run:
 
-=============  ==========================================  =================
-kind           covers                                       keyed by
-=============  ==========================================  =================
-``arcs``       symbolize, exclude                           symbols, raw arcs,
-                                                            keep_unknown, excluded
-``self_times`` apportion                                    symbols, histogram,
-                                                            excluded
-``numbered``   build-graph, augment, break-cycles, number   arcs key, self_times
-                                                            key, graph-editing
-                                                            options
-``prop``       propagate                                    numbered key,
-                                                            self_times key
-``profile``    assemble                                     prop key, input
-                                                            warnings
-=============  ==========================================  =================
+=============  =====================  =================  ==============
+kind           covers                 holds              keyed by
+=============  =====================  =================  ==============
+``arcs``       symbolize, exclude     symbolized, arcs   symbols, raw arcs,
+                                                         keep_unknown, excluded
+``self_times`` apportion              spans, self_times  symbols, histogram,
+                                                         excluded
+``numbered``   build-graph, augment,  graph, removed,    arcs key, self_times
+               break-cycles, number   numbered           key, graph-editing
+                                                         options
+``prop``       propagate              prop               numbered key,
+                                                         self_times key
+``profile``    assemble               profile            prop key, input
+                                                         warnings
+=============  =====================  =================  ==============
 
 Later keys fold in earlier ones, so the chain covers every input
 transitively and a fully-warm run touches nothing but the digests.
-Cache records carry the covered stages' warnings and counters so warm
-runs replay both: the profile a warm run returns is indistinguishable
-from a cold one (module the ``cached`` markers in the trace).
+Cache records carry the covered stages' warnings and trace records so
+warm runs replay both: the profile a warm run returns is
+indistinguishable from a cold one (modulo the ``cached`` markers in
+the trace).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from repro.pipeline.cache import (
     AnalysisCache,
@@ -49,8 +49,8 @@ from repro.pipeline.cache import (
     digest_symbols,
     digest_warnings,
 )
-from repro.pipeline.stages import STAGES, PipelineState, Stage
-from repro.pipeline.trace import PipelineTrace, StageTrace
+from repro.pipeline.stages import STAGE_BY_NAME, PipelineState
+from repro.pipeline.trace import PipelineTrace, run_stages
 
 
 @dataclass(frozen=True)
@@ -59,64 +59,26 @@ class CacheGroup:
 
     kind: str
     stages: tuple[str, ...]
-    #: Extract the (treat-as-immutable) value to store after a cold run.
-    capture: Callable[[PipelineState], object]
-    #: Write a cached value back onto the state, skipping the stages.
-    restore: Callable[[PipelineState, object], None]
 
-
-def _restore_arcs(state: PipelineState, value) -> None:
-    state.symbolized, state.arcs = value
-
-
-def _restore_self_times(state: PipelineState, value) -> None:
-    state.self_times = value
-
-
-def _restore_numbered(state: PipelineState, value) -> None:
-    state.graph, state.removed, state.numbered = value
-
-
-def _restore_prop(state: PipelineState, value) -> None:
-    state.prop = value
-
-
-def _restore_profile(state: PipelineState, value) -> None:
-    state.profile = value
+    @property
+    def provides(self) -> tuple[str, ...]:
+        """The state fields the group's stages write, in stage order —
+        what a cache entry holds and a hit restores."""
+        return tuple(dict.fromkeys(
+            field for name in self.stages
+            for field in STAGE_BY_NAME[name].provides
+        ))
 
 
 #: The cache groups, in stage order; together they partition STAGES.
 GROUPS: tuple[CacheGroup, ...] = (
+    CacheGroup("arcs", ("symbolize", "exclude")),
+    CacheGroup("self_times", ("apportion",)),
     CacheGroup(
-        "arcs",
-        ("symbolize", "exclude"),
-        lambda s: (s.symbolized, s.arcs),
-        _restore_arcs,
+        "numbered", ("build-graph", "augment", "break-cycles", "number")
     ),
-    CacheGroup(
-        "self_times",
-        ("apportion",),
-        lambda s: s.self_times,
-        _restore_self_times,
-    ),
-    CacheGroup(
-        "numbered",
-        ("build-graph", "augment", "break-cycles", "number"),
-        lambda s: (s.graph, s.removed, s.numbered),
-        _restore_numbered,
-    ),
-    CacheGroup(
-        "prop",
-        ("propagate",),
-        lambda s: s.prop,
-        _restore_prop,
-    ),
-    CacheGroup(
-        "profile",
-        ("assemble",),
-        lambda s: s.profile,
-        _restore_profile,
-    ),
+    CacheGroup("prop", ("propagate",)),
+    CacheGroup("profile", ("assemble",)),
 )
 
 _SEP = ";;"
@@ -166,26 +128,6 @@ def compute_keys(state: PipelineState) -> dict[str, str]:
     }
 
 
-def _run_stage(
-    stage: Stage, state: PipelineState, trace: PipelineTrace | None
-) -> tuple[str, dict[str, int], str]:
-    """Run one stage, timed and counted; return its journal record:
-    name, counters and the kernel backend that served it ("" if none).
-    """
-    counters: dict[str, int] = {}
-    start = time.perf_counter()
-    stage.run(state, counters)
-    backend = state.backends.get(stage.name, "")
-    if trace is not None:
-        trace.add(
-            StageTrace(
-                stage.name, time.perf_counter() - start, counters,
-                backend=backend,
-            )
-        )
-    return stage.name, counters, backend
-
-
 def run_analysis(
     data,
     symbols,
@@ -209,7 +151,6 @@ def run_analysis(
     """
     state = PipelineState(data, symbols, options, warnings=list(data.warnings))
     keys = compute_keys(state) if cache is not None else None
-    stage_by_name = {s.name: s for s in STAGES}
     if cache is not None:
         # Seed the geometry spans if a same-layout analysis already
         # built them.  This is a sub-stage memo, not a cache group: a
@@ -219,35 +160,42 @@ def run_analysis(
         cached_spans = cache.get("spans", keys["spans"])
         if cached_spans is not None:
             state.spans = cached_spans
+    provided: set[str] = set()
     for group in GROUPS:
+        fields = group.provides
         if cache is not None:
             record = cache.get(group.kind, keys[group.kind])
             if record is not None:
-                value, warnings, journal = record
-                group.restore(state, value)
+                values, warnings, records = record
+                for name, value in zip(fields, values):
+                    setattr(state, name, value)
+                provided.update(fields)
                 state.warnings.extend(warnings)
                 if trace is not None:
                     trace.cache_hits += 1
-                    for name, counters, backend in journal:
-                        trace.add(
-                            StageTrace(
-                                name, 0.0, dict(counters), cached=True,
-                                backend=backend,
-                            )
-                        )
+                    trace.stages.extend(
+                        replace(r, seconds=0.0, counters=dict(r.counters),
+                                cached=True)
+                        for r in records
+                    )
                 continue
             if trace is not None:
                 trace.cache_misses += 1
         mark = len(state.warnings)
-        journal = [
-            _run_stage(stage_by_name[name], state, trace)
-            for name in group.stages
-        ]
+        records = run_stages(
+            [STAGE_BY_NAME[name] for name in group.stages], state, provided
+        )
+        if trace is not None:
+            trace.stages.extend(records)
         if cache is not None:
             cache.put(
                 group.kind,
                 keys[group.kind],
-                (group.capture(state), state.warnings[mark:], journal),
+                (
+                    tuple(getattr(state, name) for name in fields),
+                    state.warnings[mark:],
+                    records,
+                ),
             )
             if group.kind == "self_times" and state.spans is not None:
                 cache.put("spans", keys["spans"], state.spans)

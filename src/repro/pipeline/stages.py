@@ -21,9 +21,11 @@ The stage sequence, in execution order:
 ``assemble``    presentation-ready :class:`~repro.core.analysis.Profile`
 ==============  =============================================================
 
-Every stage fills an integer ``counters`` dict describing the work it
-did; the runner wraps each call with wall-time measurement and appends
-a :class:`~repro.pipeline.trace.StageTrace`.
+Every stage is a :class:`~repro.pipeline.trace.Stage` and fills an
+integer ``counters`` dict describing the work it did; the shared
+:func:`~repro.pipeline.trace.run_stages` checks each stage's
+``requires``, times it, and records a
+:class:`~repro.pipeline.trace.StageTrace`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.core.callgraph import CallGraph
 from repro.core.cycles import number_graph
 from repro.core.propagate import propagate, propagate_backend
 from repro.core.staticgraph import augment_with_static_arcs
+from repro.pipeline.trace import Stage
 
 
 @dataclass
@@ -72,28 +75,6 @@ class PipelineState:
     @property
     def excluded(self) -> set[str]:
         return set(self.options.excluded)
-
-
-class Stage:
-    """One named pass of the analysis pipeline.
-
-    Subclasses set ``name``/``requires``/``provides`` and implement
-    :meth:`run`, which reads its inputs off the state, writes its
-    outputs back, and describes the work done in ``counters`` (integer
-    values only — they feed the deterministic JSON trace).
-    """
-
-    name: str = "?"
-    #: State fields this stage reads (beyond the fixed inputs).
-    requires: tuple[str, ...] = ()
-    #: State fields this stage writes.
-    provides: tuple[str, ...] = ()
-
-    def run(self, state: PipelineState, counters: dict[str, int]) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Stage {self.name}>"
 
 
 class SymbolizeStage(Stage):
@@ -334,8 +315,8 @@ class AssembleStage(Stage):
 
 
 #: The §4 pipeline, in execution order.  ``run_analysis`` walks exactly
-#: this list; tests assert the declared requires/provides dependencies
-#: are satisfied by this order (augment before number, etc.).
+#: this list, and the runner rejects any stage whose ``requires`` an
+#: earlier stage has not provided (augment before number, etc.).
 STAGES: tuple[Stage, ...] = (
     SymbolizeStage(),
     ExcludeStage(),

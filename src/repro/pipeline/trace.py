@@ -1,10 +1,18 @@
-"""The pipeline trace: the profiler profiling itself.
+"""The stage contract, its runner and its trace: repro profiling itself.
 
-Every run of the analysis pipeline can carry a :class:`PipelineTrace`.
-Each stage appends one :class:`StageTrace` — wall time, integer
-counters describing the work done (arcs symbolized, cycles found,
-entries assembled, ...), and whether the stage was answered from the
-analysis cache instead of recomputed.
+Both ordered step sequences in repro — the §4 analysis stages
+(:mod:`repro.pipeline.stages`) and the Rel compiler passes
+(:mod:`repro.lang.passes`) — are :class:`Stage` objects run by
+:func:`run_stages`.  A stage declares the facts it ``requires`` and
+``provides``; the runner refuses a stage whose requirements no earlier
+stage provided, times each one, and returns one :class:`StageTrace`
+per stage — wall time, integer counters describing the work done
+(arcs symbolized, cycles found, sites inlined, ...), and, in the
+analysis pipeline, whether the stage was answered from the analysis
+cache instead of recomputed.
+
+Every run of the analysis pipeline can carry a :class:`PipelineTrace`
+collecting those records.
 
 Two renderings exist:
 
@@ -20,7 +28,11 @@ Two renderings exist:
 from __future__ import annotations
 
 import json
+import time
+from collections import defaultdict
 from dataclasses import dataclass, field
+
+from repro.errors import ReproError
 
 FORMAT = "repro-pipeline-trace-1"
 
@@ -30,7 +42,7 @@ class StageTrace:
     """One stage's footprint in a pipeline run.
 
     Attributes:
-        name: the stage's registered name (``symbolize``, ``number``, ...).
+        name: the stage's registered name (``symbolize``, ``inline``, ...).
         seconds: wall-clock time spent inside the stage; 0.0 when the
             stage was served from the cache.
         counters: integer facts about the work done, keyed by a stable
@@ -62,6 +74,66 @@ class StageTrace:
         return d
 
 
+class Stage:
+    """One named step over a shared state blackboard.
+
+    Subclasses set ``name``/``requires``/``provides`` and implement
+    :meth:`run`, which reads its inputs off the state, writes its
+    outputs back, and describes the work done in ``counters`` (integer
+    values only — they feed the deterministic JSON trace).
+    """
+
+    name: str = "?"
+    #: Facts earlier stages must have provided (state fields, for the
+    #: analysis stages).
+    requires: tuple[str, ...] = ()
+    #: Facts this stage establishes.
+    provides: tuple[str, ...] = ()
+
+    def run(self, state, counters: dict[str, int]) -> None:
+        raise NotImplementedError  # pragma: no cover - interface
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<Stage {self.name}>"
+
+
+def run_stages(
+    stages, state, provided: set[str] | None = None, error=ReproError
+) -> list[StageTrace]:
+    """Run ``stages`` in order over ``state``; one :class:`StageTrace` each.
+
+    ``provided`` holds the facts already established (it is updated in
+    place, so a caller can run a pipeline in several calls); a stage
+    whose ``requires`` is not covered is a pipeline construction bug
+    and raises ``error``.  Counters start at zero for any key.  A
+    state with a ``backends`` dict names the kernel backend each stage
+    used, by stage name.
+    """
+    if provided is None:
+        provided = set()
+    backends = getattr(state, "backends", {})
+    records = []
+    for stage in stages:
+        missing = [req for req in stage.requires if req not in provided]
+        if missing:
+            raise error(
+                f"stage {stage.name!r} requires {missing} but the pipeline "
+                f"only provides {sorted(provided)}"
+            )
+        counters: dict[str, int] = defaultdict(int)
+        start = time.perf_counter()
+        stage.run(state, counters)
+        seconds = time.perf_counter() - start
+        provided.update(stage.provides)
+        records.append(
+            StageTrace(
+                stage.name, seconds, dict(counters),
+                backend=backends.get(stage.name, ""),
+            )
+        )
+    return records
+
+
 @dataclass
 class PipelineTrace:
     """The complete instrumentation record of one pipeline run."""
@@ -69,10 +141,6 @@ class PipelineTrace:
     stages: list[StageTrace] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-
-    def add(self, stage: StageTrace) -> None:
-        """Append one stage record (called by the runner)."""
-        self.stages.append(stage)
 
     def stage(self, name: str) -> StageTrace | None:
         """The record for stage ``name``, or None if it never ran."""

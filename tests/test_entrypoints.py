@@ -84,6 +84,22 @@ def test_import_repro_loads_neither_numpy_nor_analysis(tmp_path):
     assert out.split() == ["[]", "[]"]
 
 
+def test_pgo_import_loads_no_analysis_stack(tmp_path):
+    """``repro-pgo`` runs its passes on the analysis stages' contract
+    and runner, yet importing it loads none of the analysis stack."""
+    heavy = (
+        "repro.pipeline.runner", "repro.pipeline.stages",
+        "repro.pipeline.session", "repro.pipeline.cache",
+        "repro.core.analysis", "numpy",
+    )
+    out = _run_checked(
+        "import sys, repro.cli.pgo_cli\n"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))",
+        tmp_path,
+    )
+    assert out.split() == ["[]"]
+
+
 def test_profile_journey_never_imports_numpy(tmp_path):
     """``repro-vm run --profile`` then ``repro-gprof`` on the canned
     program with the most buckets: every kernel call is below its
@@ -113,8 +129,9 @@ def test_every_exported_name_resolves():
     import repro
     import repro.core
     import repro.machine
+    import repro.pipeline
 
-    for package in (repro, repro.core, repro.machine):
+    for package in (repro, repro.core, repro.machine, repro.pipeline):
         for name in package.__all__:
             assert getattr(package, name) is not None, (package, name)
     # an export wins over the same-named submodule, as with eager imports

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import LangError
+from repro.core import AnalysisOptions
+from repro.errors import LangError, ReproError
 from repro.lang import ast, optimize
 from repro.lang.codegen import generate
 from repro.lang.parser import parse
@@ -14,11 +15,14 @@ from repro.lang.passes import (
     DeadCodePass,
     HotColdLayoutPass,
     InlinePass,
-    PassTrace,
+    ProgramState,
     build_pipeline,
     merge_counters,
     run_passes,
 )
+from repro.pipeline import STAGE_BY_NAME, PipelineState, StageTrace, run_stages
+
+from tests.helpers import make_symbols, profile_data
 
 SRC = """
 func square(x) { return x * x; }
@@ -64,14 +68,24 @@ class TestPipelineConstruction:
 
     def test_requires_provides_enforced(self):
         # dead-code requires "folded"; running it alone is a pipeline
-        # construction bug, caught up front like the analysis stages.
+        # construction bug, caught up front by the runner the analysis
+        # stages share.
         with pytest.raises(LangError, match="requires"):
             run_passes(parse(SRC), [DeadCodePass()])
+        # ...and the same runner refuses §4 numbering before a graph.
+        symbols = make_symbols("main")
+        state = PipelineState(
+            profile_data(symbols, [], ticks={"main": 1}), symbols,
+            AnalysisOptions(),
+        )
+        with pytest.raises(ReproError, match="'number' requires"):
+            run_stages([STAGE_BY_NAME["number"]], state)
+        assert state.numbered is None
 
     def test_traces_and_merge(self):
         _, traces = run_passes(parse(SRC), build_pipeline(1))
         assert [t.name for t in traces] == ["const-fold", "dead-code"]
-        assert all(isinstance(t, PassTrace) for t in traces)
+        assert all(isinstance(t, StageTrace) for t in traces)
         merged = merge_counters(traces)
         assert all("." in key for key in merged)
 
@@ -173,8 +187,9 @@ class TestProfilePassesWithoutData:
     def test_pass_no_ops_on_empty_feedback(self, make_pass):
         program = parse(SRC)
         counters = {}
-        out = make_pass().run(program, self._empty_feedback(), counters)
-        assert generate(out) == generate(program)
+        state = ProgramState(program, self._empty_feedback())
+        make_pass().run(state, counters)
+        assert generate(state.program) == generate(program)
         assert not any(counters.values())
 
     def test_level_0_with_empty_feedback_is_identity(self):

@@ -320,3 +320,33 @@ def test_warm_run_replays_warnings(simple):
     warm = run_analysis(data, symbols, options, cache=cache)
     assert warm.warnings == cold.warnings
     assert any("no_such_routine" in w for w in warm.warnings)
+
+
+def test_warm_run_sets_the_same_state_fields_as_cold(simple, monkeypatch):
+    """A cache hit restores every field its group's stages provide: the
+    warm state holds the very values the cold run computed."""
+    import repro.pipeline.runner as runner
+
+    states: list[PipelineState] = []
+
+    class Recorded(PipelineState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(runner, "PipelineState", Recorded)
+    symbols, data = simple
+    cache = AnalysisCache()
+    trace = PipelineTrace()
+    run_analysis(data, symbols, AnalysisOptions(), cache=cache)
+    run_analysis(data, symbols, AnalysisOptions(), trace=trace, cache=cache)
+    cold, warm = states
+    assert trace.cache_hits == len(GROUPS) and trace.cache_misses == 0
+    for group in GROUPS:
+        assert group.provides, group.kind
+        for name in group.provides:
+            assert getattr(cold, name) is not None, (group.kind, name)
+            assert getattr(warm, name) is getattr(cold, name), (
+                group.kind, name,
+            )
+    assert warm.warnings == cold.warnings
